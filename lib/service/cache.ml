@@ -1,4 +1,5 @@
 module Data_graph = Datagraph.Data_graph
+module Graph_io = Datagraph.Graph_io
 module Tuple_relation = Datagraph.Tuple_relation
 module Outcome = Engine.Outcome
 module Instance = Engine.Instance
@@ -22,11 +23,23 @@ let default_config =
    the durable tier and for warm transfer without a reverse lookup. *)
 type entry = { outcome : Outcome.t; inst : Instance.t; lang : string; k : int }
 
+(* The instance-text memo's value: the parse of one exact request text
+   and its content keys.  Both are pure functions of the text (and of
+   [lang]/[k], which the memo key carries), and graphs are immutable, so
+   a memo hit hands back exactly what a re-parse and re-hash would. *)
+type parsed = {
+  g : Data_graph.t;
+  s : Tuple_relation.t;
+  gkey : string;
+  ikey : string;
+}
+
 type t = {
   config : config;
   verdicts : entry Lru.t;
   durable : Tier.t option;
   graphs : Data_graph.t Lru.t;
+  texts : parsed Lru.t;  (* exact text key -> parse and keys *)
   (* Service-level statistics are plain atomics, always on: the [stats]
      protocol op must answer whether or not telemetry is enabled.  The
      Obs counters below mirror the same events for traces/benches. *)
@@ -65,6 +78,9 @@ let create ?(config = default_config) ?durable () =
     verdicts = Lru.create ~capacity:config.verdict_capacity;
     durable;
     graphs = Lru.create ~capacity:config.graph_capacity;
+    (* A text is memoized only once its verdict hit, so the memo never
+       holds more live instances than the verdict store it fronts. *)
+    texts = Lru.create ~capacity:config.verdict_capacity;
     verdict_hits = Atomic.make 0;
     verdict_misses = Atomic.make 0;
     store_hits = Atomic.make 0;
@@ -148,11 +164,12 @@ let drop t key =
       ignore (Atomic.fetch_and_add t.store_drops 1);
       Tier.remove d key
 
-let decide_keyed_inner t ?fuel ?deadline_s ?(k = 1) ~lang g s =
-  let gkey, ikey =
-    Obs.Span.with_ "service.cache.hash" @@ fun () ->
-    Content_hash.keys ~lang ~k g s
-  in
+let hash ~lang ~k g s =
+  Obs.Span.with_ "service.cache.hash" @@ fun () -> Content_hash.keys ~lang ~k g s
+
+(* The verdict lookup proper, on an already parsed and hashed instance:
+   memory tier, then durable tier, then decide. *)
+let lookup t ?fuel ?deadline_s ~k ~lang { g; s; gkey; ikey } =
   let serve_miss () =
     bump t.verdict_misses c_miss;
     let g = intern_graph_keyed t gkey g in
@@ -164,7 +181,7 @@ let decide_keyed_inner t ?fuel ?deadline_s ?(k = 1) ~lang g s =
         | Error _ as e -> e
         | Ok outcome ->
             if cacheable outcome then store t ikey { outcome; inst; lang; k };
-            Ok (outcome, `Miss, ikey))
+            Ok (outcome, `Miss))
   in
   match find_entry t ikey with
   | None -> serve_miss ()
@@ -184,7 +201,7 @@ let decide_keyed_inner t ?fuel ?deadline_s ?(k = 1) ~lang g s =
       | Ok checked ->
           if checked = `Checked then bump t.revalidation_ok c_reval_ok;
           bump t.verdict_hits c_hit;
-          Ok (outcome, `Hit, ikey)
+          Ok (outcome, `Hit)
       | Error _ ->
           (* A poisoned or stale entry: drop it (from both tiers) and
              recompute instead of serving a certificate that no longer
@@ -193,22 +210,48 @@ let decide_keyed_inner t ?fuel ?deadline_s ?(k = 1) ~lang g s =
           drop t ikey;
           serve_miss ())
 
-let decide_keyed t ?fuel ?deadline_s ?k ~lang g s =
-  if not (Obs.enabled ()) then decide_keyed_inner t ?fuel ?deadline_s ?k ~lang g s
-  else begin
-    let t0 = Unix.gettimeofday () in
-    let r = decide_keyed_inner t ?fuel ?deadline_s ?k ~lang g s in
-    (match r with
-    | Ok (_, `Hit, _) -> Obs.Histogram.record_s h_hit (Unix.gettimeofday () -. t0)
-    | Ok (_, `Miss, _) -> Obs.Histogram.record_s h_miss (Unix.gettimeofday () -. t0)
-    | Error _ -> ());
-    r
-  end
+(* [cache.hit] / [cache.miss] time a request from its first cache-side
+   step to its outcome: from the graph for {!decide}, from the text for
+   {!decide_text}. *)
+let observe t0 origin =
+  Obs.Histogram.record_s
+    (match origin with `Hit -> h_hit | `Miss -> h_miss)
+    (Unix.gettimeofday () -. t0)
 
-let decide t ?fuel ?deadline_s ?k ~lang g s =
-  match decide_keyed t ?fuel ?deadline_s ?k ~lang g s with
+let decide t ?fuel ?deadline_s ?(k = 1) ~lang g s =
+  let observed = Obs.enabled () in
+  let t0 = if observed then Unix.gettimeofday () else 0. in
+  let gkey, ikey = hash ~lang ~k g s in
+  let r = lookup t ?fuel ?deadline_s ~k ~lang { g; s; gkey; ikey } in
+  (match r with Ok (_, origin) when observed -> observe t0 origin | _ -> ());
+  r
+
+let decide_text t ?fuel ?deadline_s ?(k = 1) ~lang text =
+  let observed = Obs.enabled () in
+  let t0 = if observed then Unix.gettimeofday () else 0. in
+  let key = Content_hash.text_key ~lang ~k text in
+  let memo = Lru.find t.texts key in
+  let parsed =
+    match memo with
+    | Some p -> Ok p
+    | None -> (
+        match Graph_io.instance_of_string text with
+        | Error msg -> Error ("instance: " ^ msg)
+        | Ok (g, s) ->
+            let gkey, ikey = hash ~lang ~k g s in
+            Ok { g; s; gkey; ikey })
+  in
+  match parsed with
   | Error _ as e -> e
-  | Ok (outcome, origin, _key) -> Ok (outcome, origin)
+  | Ok p -> (
+      match lookup t ?fuel ?deadline_s ~k ~lang p with
+      | Error _ as e -> e
+      | Ok (outcome, origin) ->
+          (* Insert on a verdict hit only: a text seen once (every cold
+             request) keeps nothing alive and pays no insertion. *)
+          if origin = `Hit && Option.is_none memo then Lru.put t.texts key p;
+          if observed then observe t0 origin;
+          Ok (p.g, outcome, origin, p.ikey))
 
 let find_instance t key = Option.map (fun e -> e.inst) (find_entry t key)
 
@@ -300,5 +343,9 @@ let stats t =
        ("graph_size", Lru.length t.graphs);
        ("verdict_evictions", Lru.evictions t.verdicts);
        ("graph_evictions", Lru.evictions t.graphs);
+       ("text_hits", Lru.hits t.texts);
+       ("text_misses", Lru.misses t.texts);
+       ("text_evictions", Lru.evictions t.texts);
+       ("text_size", Lru.length t.texts);
      ]
     @ tier)

@@ -2,7 +2,7 @@
     {b memory tier} (LRU) layered over an optional {b durable tier}
     ({!Tier}, backed by {!Store.Log}).
 
-    Two LRU stores, both keyed by {!Content_hash} digests:
+    Two LRU stores keyed by {!Content_hash} digests, and a memo:
 
     - a {b graph intern table} (graph key → packed [Data_graph.t]): the
       first request that mentions a graph donates its packed form, and
@@ -19,6 +19,10 @@
       the instance — a code path disjoint from the search that produced
       it), and an entry that fails revalidation is dropped and recomputed
       rather than served.
+    - an {b instance-text memo} (exact request text → parsed instance
+      and its two digests) in front of both, used by {!decide_text}: a
+      repeated request skips the parse and the hashing, never the
+      verdict lookup or its revalidation.
 
     Only [Definable] and [Not_definable] outcomes are stored: they are
     budget-independent facts about the instance.  [Unknown] outcomes
@@ -82,18 +86,34 @@ val decide :
     budget.  [Error] on an invalid instance or an unknown language.
     [k] is the [krem] register bound (default 1). *)
 
-val decide_keyed :
+val decide_text :
   t ->
   ?fuel:int ->
   ?deadline_s:float ->
   ?k:int ->
   lang:string ->
-  Datagraph.Data_graph.t ->
-  Datagraph.Tuple_relation.t ->
-  (Engine.Outcome.t * [ `Hit | `Miss ] * string, string) result
-(** Like {!decide}, also returning the instance digest under which the
+  string ->
+  ( Datagraph.Data_graph.t * Engine.Outcome.t * [ `Hit | `Miss ] * string,
+    string )
+  result
+(** The server's entry point: {!decide} on an instance {e text},
+    returning also the graph parsed from it (to render the reply with
+    the requester's node names) and the instance digest under which the
     verdict is stored — the handle a client quotes back in a [delta]
-    request to edit this instance incrementally. *)
+    request to edit this instance incrementally.
+
+    Parsing and content-hashing are memoized by the exact request bytes
+    ({!Content_hash.text_key}: [lang], [k] and the text).  Both are pure
+    functions of those bytes and graphs are immutable, so a memo hit
+    yields exactly what a re-parse would; nothing else is skipped — the
+    verdict store is still consulted and a verdict hit still
+    revalidated.  A text enters the memo only when its verdict lookup
+    {e hit}, so a never-repeated instance keeps nothing alive; the memo
+    holds at most [verdict_capacity] texts.  Errors are never memoized:
+    a malformed text ([Error "instance: ..."]) is re-parsed, and fails
+    the same way, every time.  The [cache.hit]/[cache.miss] histograms
+    time text to outcome; a memo hit records no [service.cache.hash]
+    span. *)
 
 val find_instance : t -> string -> Engine.Instance.t option
 (** The instance stored under a digest, if still cached — the server
@@ -159,7 +179,9 @@ val stats : t -> (string * int) list
     [store_drops], [revalidation_ok], [revalidation_failures],
     [graph_hits], [graph_misses], [delta_repair_hits],
     [delta_repair_misses], [verdict_size], [graph_size],
-    [verdict_evictions], [graph_evictions] — plus, with a durable tier,
+    [verdict_evictions], [graph_evictions], and the {!decide_text}
+    memo's [text_hits], [text_misses], [text_evictions], [text_size] —
+    plus, with a durable tier,
     {!Tier.stats} prefixed [store_].  Counted internally (always on,
     independent of [Obs]); the same events are mirrored to
     [Obs.Counter]s for traces and bench breakdowns. *)

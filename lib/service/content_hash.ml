@@ -99,3 +99,7 @@ let keys ~lang ~k g s =
   ( graph_key_of_bytes gbytes,
     digest
       (instance_bytes_of_parts ~lang ~k ~gbytes ~rbytes:(relation_bytes s)) )
+
+let text_key ~lang ~k text =
+  String.concat ""
+    [ string_of_int (String.length lang); ":"; lang; " "; string_of_int k; "\n"; text ]

@@ -60,6 +60,17 @@ val keys :
 (** [(graph_key, instance_key)], serializing the graph only once — the
     cache's lookup path. *)
 
+val text_key : lang:string -> k:int -> string -> string
+(** The key under which the instance-text memos ({!Cache.decide_text}
+    on a shard, the router's placement memo) remember one exact request:
+    the language, length-prefixed, then [k], then the instance text
+    verbatim.  It is not a digest and not canonical — two spellings of
+    one problem get two keys — but no two distinct [(lang, k, text)]
+    triples share one: the length prefix fixes where [lang] ends, and
+    [k]'s decimal rendering ends at the first newline.  So ["rem"] with
+    text [t] and ["re"] with text ["m" ^ t] never collide, as they would
+    under plain concatenation. *)
+
 (** {2 Digest chaining}
 
     An edit stream addresses its instances by {e chained} keys:

@@ -1,9 +1,18 @@
-type 'a entry = { mutable stamp : int; value : 'a }
+(* Recency is an intrusive circular doubly-linked list through the
+   nodes: [head] is the most recently used node, [head.older] the next
+   one, and so on round to [head.newer], the least recently used — the
+   eviction victim, reached in O(1).  A lone node links to itself. *)
+type 'a node = {
+  key : string;
+  value : 'a;
+  mutable newer : 'a node;
+  mutable older : 'a node;
+}
 
 type 'a t = {
   capacity : int;
-  table : (string, 'a entry) Hashtbl.t;
-  mutable tick : int;
+  table : (string, 'a node) Hashtbl.t;
+  mutable head : 'a node option;
   mutable evicted : int;
   mutable hit : int;
   mutable miss : int;
@@ -15,7 +24,7 @@ let create ~capacity =
   {
     capacity;
     table = Hashtbl.create (min capacity 64);
-    tick = 0;
+    head = None;
     evicted = 0;
     hit = 0;
     miss = 0;
@@ -32,9 +41,26 @@ let evictions t = locked t (fun () -> t.evicted)
 let hits t = locked t (fun () -> t.hit)
 let misses t = locked t (fun () -> t.miss)
 
-let touch t e =
-  t.tick <- t.tick + 1;
-  e.stamp <- t.tick
+let unlink t n =
+  if n.older == n then t.head <- None
+  else begin
+    n.newer.older <- n.older;
+    n.older.newer <- n.newer;
+    match t.head with Some h when h == n -> t.head <- Some n.older | _ -> ()
+  end
+
+let push_front t n =
+  (match t.head with
+  | None ->
+      n.newer <- n;
+      n.older <- n
+  | Some h ->
+      let tail = h.newer in
+      n.older <- h;
+      n.newer <- tail;
+      tail.older <- n;
+      h.newer <- n);
+  t.head <- Some n
 
 let find t k =
   locked t (fun () ->
@@ -42,48 +68,50 @@ let find t k =
       | None ->
           t.miss <- t.miss + 1;
           None
-      | Some e ->
-          touch t e;
+      | Some n ->
+          unlink t n;
+          push_front t n;
           t.hit <- t.hit + 1;
-          Some e.value)
+          Some n.value)
 
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with
-        | Some (_, stamp) when stamp <= e.stamp -> acc
-        | _ -> Some (k, e.stamp))
-      t.table None
-  in
-  match victim with
-  | Some (k, _) ->
-      Hashtbl.remove t.table k;
-      t.evicted <- t.evicted + 1
-  | None -> ()
+let drop t n =
+  unlink t n;
+  Hashtbl.remove t.table n.key
 
 let put t k v =
   locked t (fun () ->
       (* Replace rather than mutate: [value] is immutable so a reader
-         that grabbed the old entry keeps a consistent snapshot. *)
-      if Hashtbl.mem t.table k then Hashtbl.remove t.table k
-      else if Hashtbl.length t.table >= t.capacity then evict_lru t;
-      let e = { stamp = 0; value = v } in
-      touch t e;
-      Hashtbl.add t.table k e)
+         that grabbed the old value keeps a consistent snapshot. *)
+      (match Hashtbl.find_opt t.table k with
+      | Some old -> drop t old
+      | None -> (
+          if Hashtbl.length t.table >= t.capacity then
+            match t.head with
+            | Some h ->
+                drop t h.newer;
+                t.evicted <- t.evicted + 1
+            | None -> ()));
+      let rec n = { key = k; value = v; newer = n; older = n } in
+      push_front t n;
+      Hashtbl.replace t.table k n)
 
-let remove t k = locked t (fun () -> Hashtbl.remove t.table k)
+let remove t k =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table k with Some n -> drop t n | None -> ())
 
 let hot t n =
   locked t (fun () ->
-      let all =
-        Hashtbl.fold (fun k e acc -> (e.stamp, k, e.value) :: acc) t.table []
-      in
-      let sorted = List.sort (fun (a, _, _) (b, _, _) -> compare b a) all in
-      List.filteri (fun i _ -> i < n) sorted
-      |> List.map (fun (_, k, v) -> (k, v)))
+      match t.head with
+      | None -> []
+      | Some h ->
+          let count = min n (Hashtbl.length t.table) in
+          let rec walk node i acc =
+            if i >= count then List.rev acc
+            else walk node.older (i + 1) ((node.key, node.value) :: acc)
+          in
+          walk h 0 [])
 
 let clear t =
   locked t (fun () ->
       Hashtbl.reset t.table;
-      t.tick <- 0)
+      t.head <- None)

@@ -1,12 +1,12 @@
 (** A bounded, mutex-guarded LRU store with string keys.
 
-    Backs the service's verdict and graph caches.  Recency is tracked
-    with a monotone stamp per entry; eviction scans for the minimum
-    stamp, which is O(capacity) but only runs on insertion past the
-    bound — invisible next to the decision procedures the cache fronts,
-    and far simpler than an intrusive list.  All operations take the
-    store's own mutex, so one store can be shared by every connection
-    handler thread. *)
+    Backs the service's verdict, graph and instance-text caches and the
+    router's routing tables.  Recency is an intrusive doubly-linked
+    list through the entries, so [find], [put] and eviction are O(1)
+    (plus hashing the key): a store at capacity pays the same per
+    insertion as an empty one.  All operations take the store's own
+    mutex, so one store can be shared by every connection handler
+    thread. *)
 
 type 'a t
 

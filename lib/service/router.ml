@@ -34,6 +34,7 @@ type t = {
   shards : (string * Wire.address) list;
   ring : Ring.t;
   chain : string Lru.t;  (* chained digest -> shard name *)
+  texts : string Lru.t;  (* Content_hash.text_key -> instance digest *)
   health : (string, health) Hashtbl.t;
   health_mu : Mutex.t;
   addr : Wire.address;
@@ -48,6 +49,11 @@ type t = {
 }
 
 let c_forwarded = Obs.Counter.make "service.router.forwarded"
+
+(* Capacity of the placement memo.  The router inserts every parsed
+   text (it cannot see whether the shard's verdict hit), so the bound is
+   a fixed working set rather than one derived from a cache it fronts. *)
+let text_capacity = 1024
 
 let create ?(config = default_config) ~shards addr =
   if shards = [] then invalid_arg "Service.Router.create: no shards";
@@ -74,6 +80,7 @@ let create ?(config = default_config) ~shards addr =
     shards;
     ring = Ring.create ~vnodes:config.vnodes (List.map fst shards);
     chain = Lru.create ~capacity:config.chain_capacity;
+    texts = Lru.create ~capacity:text_capacity;
     health = Hashtbl.create 8;
     health_mu = Mutex.create ();
     addr;
@@ -97,6 +104,19 @@ let shard_of_digest t digest =
   | None -> Ring.shard t.ring digest
 
 let incr a = ignore (Atomic.fetch_and_add a 1)
+
+let instance_digest t ~lang ~k text =
+  let k = Option.value k ~default:1 in
+  let key = Content_hash.text_key ~lang ~k text in
+  match Lru.find t.texts key with
+  | Some digest -> Ok digest
+  | None -> (
+      match Graph_io.instance_of_string text with
+      | Error _ as e -> e
+      | Ok (g, s) ->
+          let digest = Content_hash.instance_key ~lang ~k g s in
+          Lru.put t.texts key digest;
+          Ok digest)
 
 (* ------------------------------------------------------------------ *)
 (* Shard health. *)
@@ -282,12 +302,21 @@ let ok op rest =
 
 (* ------------------------------------------------------------------ *)
 
+let text_stats t =
+  [
+    ("text_entries", Lru.length t.texts);
+    ("text_hits", Lru.hits t.texts);
+    ("text_misses", Lru.misses t.texts);
+    ("text_evictions", Lru.evictions t.texts);
+  ]
+
 let stats t =
   let unhealthy =
     List.length (List.filter (fun (n, _) -> not (shard_healthy t n)) t.shards)
   in
   List.sort compare
-    [
+    (text_stats t
+    @ [
       ("chain_entries", Lru.length t.chain);
       ("chain_hits", Lru.hits t.chain);
       ("chain_misses", Lru.misses t.chain);
@@ -301,7 +330,7 @@ let stats t =
       ("unavailable_fast_fails", Atomic.get t.n_unavailable);
       ("uptime_seconds", int_of_float (Unix.gettimeofday () -. t.started_s));
       ("started_at", int_of_float t.started_s);
-    ]
+    ])
 
 (* Remember where a delta response's chained digest lives, so the next
    step of the edit stream goes back to the same shard. *)
@@ -326,12 +355,9 @@ let forward_work t conns name oc ~(env : Wire.envelope) line =
   else forward t conns name line
 
 let handle_decide t conns oc line ~env ~lang ~k ~instance =
-  match Graph_io.instance_of_string instance with
+  match instance_digest t ~lang ~k instance with
   | Error msg -> respond oc (error_fields "decide" ("instance: " ^ msg))
-  | Ok (g, s) -> (
-      let digest =
-        Content_hash.instance_key ~lang ~k:(Option.value k ~default:1) g s
-      in
+  | Ok digest -> (
       match forward_work t conns (shard_of_digest t digest) oc ~env line with
       | Ok reply -> relay oc reply
       | Error msg -> respond_error oc "decide" msg)
@@ -354,18 +380,12 @@ let handle_batch t conns oc ~env ~lang ~k ~fuel ~timeout_s ~instances =
   let placed =
     List.mapi
       (fun i text ->
-        let digest =
-          match Graph_io.instance_of_string text with
-          | Ok (g, s) ->
-              Some (Content_hash.instance_key ~lang ~k:(Option.value k ~default:1) g s)
-          | Error _ -> None
-        in
         (* Unparsable instances still go to a shard (the first), whose
            decide_one renders the error object for them. *)
         let name =
-          match digest with
-          | Some d -> shard_of_digest t d
-          | None -> fst (List.hd t.shards)
+          match instance_digest t ~lang ~k text with
+          | Ok d -> shard_of_digest t d
+          | Error _ -> fst (List.hd t.shards)
         in
         (i, name, text))
       instances
@@ -560,6 +580,7 @@ let handle_metrics t conns oc line =
       ("uptime_seconds", Unix.gettimeofday () -. t.started_s);
       ("shards", float_of_int (List.length t.shards));
     ]
+    @ List.map (fun (k, v) -> (k, float_of_int v)) (text_stats t)
   in
   respond oc
     (ok "metrics"

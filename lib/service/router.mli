@@ -2,8 +2,8 @@
     servers, placing requests by consistent hashing on {!Content_hash}
     digests.
 
-    The router holds no cache and decides nothing.  It parses each
-    request just enough to find its digest, asks the {!Ring} which
+    The router holds no verdict cache and decides nothing.  It parses
+    each request just enough to find its digest, asks the {!Ring} which
     shard owns it, forwards the {e original} request line over a
     per-connection client to that shard, and relays the shard's
     response line verbatim — so a routed [decide]/[delta] response is
@@ -15,6 +15,8 @@
       instance key (the digest the shard will answer with), route by
       it.  Every repeat of the same problem lands on the same shard, so
       shard caches partition the key space instead of duplicating it.
+      Parse and hash run once per distinct request text: see
+      {!instance_digest}.
     - [delta] — route by the quoted digest.  A chained digest (the
       [Content_hash.chain_key] of an earlier delta) does not hash to
       its parent's shard, so the router remembers
@@ -101,6 +103,20 @@ val shard_of_digest : t -> string -> string
 (** Current placement of a digest (chained-digest map first, then the
     ring) — exposed for tests and the CLI banner. *)
 
+val instance_digest :
+  t -> lang:string -> k:int option -> string -> (string, string) result
+(** The placement digest of a [decide]/[batch] instance text:
+    {!Content_hash.instance_key} of its parse ([k] defaults to 1), the
+    digest the owning shard will answer with.  Memoized by the exact
+    request bytes ({!Content_hash.text_key}) in a bounded LRU of 1024
+    texts, inserted on every successful parse, so a repeated request
+    skips the parse and the MD5.  The digest is a pure function of
+    those bytes, so a memo hit places exactly as a re-parse would.
+    [Error] with the parser's message on a malformed text, which is
+    never memoized.  Tallied as [text_hits], [text_misses],
+    [text_evictions] and [text_entries] in {!stats} and as gauges in
+    the [metrics] exposition. *)
+
 val rebalance : t -> ?limit:int -> unit -> (int, string) result
 (** One warm-transfer sweep: export up to [limit] (default 64) hot
     entries from every shard, re-import the misplaced ones onto their
@@ -116,5 +132,8 @@ val shutdown : t -> unit
 
 val stats : t -> (string * int) list
 (** The router's own counters: [forwarded], [forward_errors],
-    [requests], [chain_entries], [rebalanced], [shards],
-    [shards_unhealthy], [unavailable_fast_fails], [uptime_s]. *)
+    [requests], [chain_entries], [chain_hits], [chain_misses],
+    [chain_evictions], [rebalanced], [shards], [shards_unhealthy],
+    [unavailable_fast_fails], [uptime_seconds], [started_at], and the
+    {!instance_digest} memo's [text_entries], [text_hits],
+    [text_misses], [text_evictions]. *)

@@ -1,5 +1,3 @@
-module Graph_io = Datagraph.Graph_io
-
 module Admission = struct
   (* A counting semaphore with a bounded wait queue and a draining
      state, multiplexed on one condition variable: waiters wake on
@@ -313,22 +311,19 @@ let service_fields ~queue_wait_s ~wall_s =
    Returns pre-rendered response fields for the per-instance object,
    plus the instance digest for the slow-request log. *)
 let decide_one t ~lang ~k ~fuel ~timeout_s text =
-  match Graph_io.instance_of_string text with
-  | Error msg -> Error ("instance: " ^ msg)
-  | Ok (g, s) -> (
-      let fuel, deadline_s = effective_budget t ~fuel ~timeout_s in
-      match Cache.decide_keyed t.cache_ ?fuel ?deadline_s ?k ~lang g s with
-      | Error msg -> Error msg
-      | Ok (outcome, origin, key) ->
-          Ok
-            ( [
-                ( "cache",
-                  Wire.json_string
-                    (match origin with `Hit -> "hit" | `Miss -> "miss") );
-                ("digest", Wire.json_string key);
-                ("result", Wire.verdict_to_string g ~lang outcome);
-              ],
-              key ))
+  let fuel, deadline_s = effective_budget t ~fuel ~timeout_s in
+  match Cache.decide_text t.cache_ ?fuel ?deadline_s ?k ~lang text with
+  | Error msg -> Error msg
+  | Ok (g, outcome, origin, key) ->
+      Ok
+        ( [
+            ( "cache",
+              Wire.json_string (match origin with `Hit -> "hit" | `Miss -> "miss")
+            );
+            ("digest", Wire.json_string key);
+            ("result", Wire.verdict_to_string g ~lang outcome);
+          ],
+          key )
 
 (* Execute the body (or bodies — one per batch item) of an admitted
    work op on the shared domain pool.  Handler threads keep doing socket
@@ -734,6 +729,12 @@ let handle_metrics t oc =
       ("inflight", float_of_int (Admission.running t.gate));
       ("queued", float_of_int (Admission.waiting t.gate));
     ]
+    @ List.filter_map
+        (fun (k, v) ->
+          if String.starts_with ~prefix:"text_" k then
+            Some ("cache_" ^ k, float_of_int v)
+          else None)
+        (Cache.stats t.cache_)
   in
   respond oc
     (ok "metrics"

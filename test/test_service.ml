@@ -100,6 +100,51 @@ let test_lru () =
   Lru.clear t;
   Alcotest.(check int) "cleared" 0 (Lru.length t)
 
+(* The store against a reference model — an association list kept in
+   recency order, most recent first — over random operation sequences:
+   every [find], [hot], [length] and eviction count must agree. *)
+let lru_model_prop =
+  let op =
+    QCheck.Gen.(
+      pair (int_bound 4) (int_bound 7) >|= fun (o, k) -> (o, string_of_int k))
+  in
+  QCheck.Test.make ~name:"agrees with a recency-list model" ~count:300
+    QCheck.(pair (int_range 1 4) (make Gen.(list_size (int_bound 60) op)))
+    (fun (capacity, ops) ->
+      let t = Lru.create ~capacity in
+      let model = ref [] and evicted = ref 0 and ok = ref true in
+      let agree b = ok := !ok && b in
+      List.iteri
+        (fun i (o, k) ->
+          match o with
+          | 0 ->
+              let m = List.assoc_opt k !model in
+              agree (Lru.find t k = m);
+              Option.iter
+                (fun v -> model := (k, v) :: List.remove_assoc k !model)
+                m
+          | 1 | 2 ->
+              let rest = List.remove_assoc k !model in
+              let rest =
+                if List.mem_assoc k !model || List.length rest < capacity then rest
+                else begin
+                  incr evicted;
+                  List.filteri (fun j _ -> j < capacity - 1) rest
+                end
+              in
+              Lru.put t k i;
+              model := (k, i) :: rest
+          | 3 ->
+              Lru.remove t k;
+              model := List.remove_assoc k !model
+          | _ ->
+              agree (Lru.hot t 3 = List.filteri (fun j _ -> j < 3) !model);
+              agree (Lru.hot t 10 = !model))
+        ops;
+      !ok
+      && Lru.length t = List.length !model
+      && Lru.evictions t = !evicted)
+
 (* ---------- Content_hash ---------- *)
 
 let rename_nodes g =
@@ -1413,6 +1458,253 @@ let test_e2e_router_shard_unavailable () =
           | Some (Json.String "down") -> ()
           | _ -> Alcotest.fail "health map does not show ghost down"))
 
+(* ---------- instance-text memo ---------- *)
+
+let stat_of field j =
+  Option.bind (Json.member "stats" j) (fun s ->
+      Option.bind (Json.member field s) Json.to_int)
+
+let router_stat field j =
+  Option.bind (Json.member "router" j) (fun s ->
+      Option.bind (Json.member field s) Json.to_int)
+
+let contains ~needle text =
+  let ln = String.length needle and lt = String.length text in
+  let rec go i = i + ln <= lt && (String.sub text i ln = needle || go (i + 1)) in
+  go 0
+
+(* A repeated request line, routed and shard-direct, answers with the
+   first reply's verdict block and digest byte for byte, while both
+   processes serve the repeats from their memos. *)
+let test_memo_repeat_byte_identical () =
+  with_sharded_cluster ~store:false (fun ~router ~s0 ~s1 addr ->
+      let digest =
+        match Service.Router.instance_digest router ~lang:"rem" ~k:None s2_text with
+        | Ok d -> d
+        | Error msg -> Alcotest.fail msg
+      in
+      Alcotest.(check string) "router digest is the content key" (key fig1 s2)
+        digest;
+      let owner =
+        if Service.Router.shard_of_digest router digest = "shard0" then s0 else s1
+      in
+      let via a =
+        Client.with_connection a (fun conn ->
+            List.init 3 (fun _ -> request_ok conn (decide_req s2_text)))
+      in
+      let routed = via addr and direct = via (Server.address owner) in
+      let first = List.hd routed in
+      Alcotest.(check (option string)) "first is cold" (Some "miss")
+        (member_str "cache" first);
+      List.iter
+        (fun j ->
+          Alcotest.(check (option string)) "repeat hits" (Some "hit")
+            (member_str "cache" j);
+          Alcotest.(check string) "verdict block byte-identical"
+            (result_block first) (result_block j);
+          Alcotest.(check (option string)) "same digest" (Some digest)
+            (member_str "digest" j))
+        (List.tl routed @ direct);
+      (* A batch of the same text rides the same memos. *)
+      Client.with_connection addr (fun conn ->
+          let resp =
+            request_ok conn
+              (Wire.Batch
+                 { lang = "rem"; k = None; fuel = None; timeout_s = None;
+                   instances = [ s2_text; s2_text ] })
+          in
+          match Option.bind (Json.member "results" resp) Json.to_list with
+          | Some items ->
+              List.iter
+                (fun item ->
+                  Alcotest.(check string) "batch item block byte-identical"
+                    (result_block first) (result_block item))
+                items
+          | None -> Alcotest.fail "no batch results");
+      Client.with_connection addr (fun conn ->
+          let stats = request_ok conn Wire.Stats in
+          (match router_stat "text_hits" stats with
+          | Some n -> Alcotest.(check bool) "router memo hits" true (n >= 4)
+          | None -> Alcotest.fail "router stats missing text_hits");
+          Alcotest.(check (option int)) "router memo holds one text" (Some 1)
+            (router_stat "text_entries" stats);
+          (match stat_of "cache_text_hits" stats with
+          | Some n -> Alcotest.(check bool) "shard memo hits" true (n >= 4)
+          | None -> Alcotest.fail "aggregated stats missing cache_text_hits");
+          Alcotest.(check (option int)) "shard memo holds one text" (Some 1)
+            (stat_of "cache_text_size" stats);
+          match member_str "metrics" (request_ok conn Wire.Metrics) with
+          | Some text ->
+              Alcotest.(check bool) "router memo gauge exposed" true
+                (contains ~needle:"defcheck_text_hits " text)
+          | None -> Alcotest.fail "no metrics text"))
+
+(* A renamed copy of an instance is the same problem: same digest, a
+   verdict hit — but its reply names its own nodes, before and after its
+   text is memoized, and so does the original's. *)
+let test_memo_renamed_instance () =
+  let renamed = rename_nodes fig1 in
+  let renamed_text = Io.instance_to_string renamed s2 in
+  let expected g =
+    let o, _ = cache_decide (Cache.create ()) ~lang:"rpq" g s2 in
+    Json.to_string
+      (Result.get_ok (Json.parse (Wire.verdict_to_string g ~lang:"rpq" o)))
+  in
+  let expected_orig = expected fig1 and expected_renamed = expected renamed in
+  Alcotest.(check bool) "the verdict block shows node names" true
+    (expected_orig <> expected_renamed);
+  with_server (fun addr _srv ->
+      Client.with_connection addr (fun conn ->
+          let ask text = request_ok conn (decide_req ~lang:"rpq" text) in
+          let replies =
+            List.map
+              (fun text -> (text, ask text))
+              [ s2_text; s2_text; renamed_text; renamed_text; s2_text ]
+          in
+          List.iteri
+            (fun i (text, j) ->
+              Alcotest.(check (option string)) "one digest" (Some (Content_hash.instance_key ~lang:"rpq" ~k:1 fig1 s2))
+                (member_str "digest" j);
+              Alcotest.(check (option string)) "verdict hit after the first"
+                (Some (if i = 0 then "miss" else "hit"))
+                (member_str "cache" j);
+              Alcotest.(check string) "the requester's own names"
+                (if text == renamed_text then expected_renamed else expected_orig)
+                (result_block j))
+            replies;
+          let stats = request_ok conn Wire.Stats in
+          Alcotest.(check (option int)) "both texts memoized" (Some 2)
+            (stat_of "cache_text_size" stats);
+          Alcotest.(check (option int)) "two memo hits" (Some 2)
+            (stat_of "cache_text_hits" stats)))
+
+(* The memo key separates language and [k]; a naive [lang ^ text] key
+   would hand ("re", "m" ^ text) the parse and verdict of ("rem", text). *)
+let test_memo_lang_and_k_separate () =
+  let cache = Cache.create () in
+  let decide ?fuel ?k ~lang text =
+    Cache.decide_text cache ?fuel ?k ~lang text
+  in
+  let digest_origin = function
+    | Ok (_, _, origin, d) -> (d, origin)
+    | Error msg -> Alcotest.fail msg
+  in
+  let warm ?fuel ?k ~lang text =
+    ignore (decide ?fuel ?k ~lang text);
+    let d, origin = digest_origin (decide ?fuel ?k ~lang text) in
+    Alcotest.(check bool) (lang ^ " warm") true (origin = `Hit);
+    d
+  in
+  let d_rem = warm ~lang:"rem" s2_text in
+  let d_ree, origin = digest_origin (decide ~lang:"ree" s2_text) in
+  Alcotest.(check bool) "ree is its own miss" true (origin = `Miss);
+  Alcotest.(check string) "ree digest" (Content_hash.instance_key ~lang:"ree" ~k:1 fig1 s2) d_ree;
+  Alcotest.(check bool) "rem and ree digests differ" true (d_rem <> d_ree);
+  let d_k2 = warm ~k:2 ~lang:"krem" s2_text in
+  let d_k3, origin = digest_origin (decide ~fuel:2000 ~k:3 ~lang:"krem" s2_text) in
+  Alcotest.(check bool) "k=3 is its own miss" true (origin = `Miss);
+  Alcotest.(check string) "k=3 digest" (Content_hash.instance_key ~lang:"krem" ~k:3 fig1 s2) d_k3;
+  Alcotest.(check bool) "k=2 and k=3 digests differ" true (d_k2 <> d_k3);
+  let lang_a = "rem" and text_a = s2_text and lang_b = "re" and text_b = "m" ^ s2_text in
+  Alcotest.(check string) "the pair collides under concatenation" (lang_a ^ text_a)
+    (lang_b ^ text_b);
+  Alcotest.(check bool) "but not under text_key" true
+    (Content_hash.text_key ~lang:lang_a ~k:1 text_a
+    <> Content_hash.text_key ~lang:lang_b ~k:1 text_b);
+  Alcotest.(check bool) "(re, m ^ text) is refused, not served rem's verdict" true
+    (Result.is_error (decide ~lang:lang_b text_b));
+  (* The router's placement memo draws the same line. *)
+  with_sharded_cluster ~store:false (fun ~router ~s0:_ ~s1:_ addr ->
+      let digest lang k text = Service.Router.instance_digest router ~lang ~k text in
+      ignore (digest "rem" None s2_text);
+      Alcotest.(check (result string string)) "router rem digest" (Ok d_rem)
+        (digest "rem" None s2_text);
+      Alcotest.(check (result string string)) "router ree digest" (Ok d_ree)
+        (digest "ree" None s2_text);
+      ignore (digest "krem" (Some 2) s2_text);
+      Alcotest.(check (result string string)) "router k=3 digest" (Ok d_k3)
+        (digest "krem" (Some 3) s2_text);
+      Alcotest.(check bool) "router refuses (re, m ^ text)" true
+        (Result.is_error (digest lang_b None text_b));
+      Client.with_connection addr (fun conn ->
+          let r = request_ok conn (decide_req ~lang:lang_b text_b) in
+          Alcotest.(check (option string)) "routed (re, m ^ text) is an error"
+            (Some "error") (member_str "status" r)))
+
+(* A malformed text fails the same way every time and is never stored;
+   neither is a well-formed text in an unknown language. *)
+let test_memo_errors_not_memoized () =
+  let bad = "node v1\n" in
+  with_sharded_cluster ~store:false (fun ~router ~s0:_ ~s1:_ addr ->
+      Client.with_connection addr (fun conn ->
+          let errors =
+            List.init 3 (fun _ ->
+                let r = request_ok conn (decide_req bad) in
+                Alcotest.(check (option string)) "error status" (Some "error")
+                  (member_str "status" r);
+                member_str "error" r)
+          in
+          Alcotest.(check bool) "a typed instance error" true
+            (match List.hd errors with
+            | Some e -> String.starts_with ~prefix:"instance: " e
+            | None -> false);
+          List.iter
+            (fun e ->
+              Alcotest.(check (option string)) "the same error every time"
+                (List.hd errors) e)
+            errors;
+          Alcotest.(check bool) "router placement errors too" true
+            (Result.is_error
+               (Service.Router.instance_digest router ~lang:"rem" ~k:None bad));
+          (* Shard-side errors: the parse error (batches reach a shard)
+             and an unknown language on a good text. *)
+          for _ = 1 to 2 do
+            ignore
+              (request_ok conn
+                 (Wire.Batch
+                    { lang = "rem"; k = None; fuel = None; timeout_s = None;
+                      instances = [ bad ] }));
+            let r = request_ok conn (decide_req ~lang:"nosuch" s2_text) in
+            Alcotest.(check (option string)) "unknown language is an error"
+              (Some "error") (member_str "status" r)
+          done;
+          let stats = request_ok conn Wire.Stats in
+          Alcotest.(check (option int)) "router memo: only the good text"
+            (Some 1) (router_stat "text_entries" stats);
+          Alcotest.(check (option int)) "shard memo empty" (Some 0)
+            (stat_of "cache_text_size" stats);
+          Alcotest.(check (option int)) "no shard memo hits" (Some 0)
+            (stat_of "cache_text_hits" stats)))
+
+(* A poisoned verdict entry behind a memoized text is still caught: the
+   memo skips the parse and the hash, never the revalidation. *)
+let test_memo_hit_still_revalidates () =
+  with_server (fun addr srv ->
+      Client.with_connection addr (fun conn ->
+          let cold = request_ok conn (decide_req s3_text) in
+          let warm = request_ok conn (decide_req s3_text) in
+          Alcotest.(check (option string)) "warm hit" (Some "hit")
+            (member_str "cache" warm);
+          let cache = Server.cache srv in
+          let o_s2, _ = cache_decide cache ~lang:"rem" fig1 s2 in
+          (match Cache.insert cache ~lang:"rem" fig1 s3 o_s2 with
+          | Ok () -> ()
+          | Error msg -> Alcotest.fail msg);
+          let before = request_ok conn Wire.Stats in
+          let again = request_ok conn (decide_req s3_text) in
+          let after = request_ok conn Wire.Stats in
+          let delta field =
+            Option.value ~default:0 (stat_of field after)
+            - Option.value ~default:0 (stat_of field before)
+          in
+          Alcotest.(check int) "served through the memo" 1 (delta "cache_text_hits");
+          Alcotest.(check int) "revalidation failure counted" 1
+            (delta "cache_revalidation_failures");
+          Alcotest.(check (option string)) "the bogus entry is not served"
+            (Some "miss") (member_str "cache" again);
+          Alcotest.(check string) "a correct recompute" (result_block cold)
+            (result_block again)))
+
 let () =
   Alcotest.run "service"
     [
@@ -1424,7 +1716,11 @@ let () =
           ("errors", `Quick, test_json_errors);
           ("to_int", `Quick, test_json_to_int);
         ] );
-      ("lru", [ ("semantics", `Quick, test_lru) ]);
+      ( "lru",
+        [
+          ("semantics", `Quick, test_lru);
+          QCheck_alcotest.to_alcotest lru_model_prop;
+        ] );
       ( "content_hash",
         [
           ("node-name invariance", `Quick, test_hash_name_invariance);
@@ -1500,5 +1796,13 @@ let () =
            test_e2e_observation_free_service);
           ("router metrics aggregation", `Quick,
            test_e2e_router_metrics_aggregation);
+        ] );
+      ( "memo",
+        [
+          ("repeat is byte-identical", `Quick, test_memo_repeat_byte_identical);
+          ("renamed instance keeps its names", `Quick, test_memo_renamed_instance);
+          ("language and k separate", `Quick, test_memo_lang_and_k_separate);
+          ("errors never memoized", `Quick, test_memo_errors_not_memoized);
+          ("memo hit still revalidates", `Quick, test_memo_hit_still_revalidates);
         ] );
     ]
