@@ -20,18 +20,47 @@ let default_config =
    re-packing the problem; it pins the interned graph (and its derived
    artifacts) for as long as the verdict lives, even past graph-store
    eviction.  [lang]/[k] ride along so the entry can be re-encoded for
-   the durable tier and for warm transfer without a reverse lookup. *)
-type entry = { outcome : Outcome.t; inst : Instance.t; lang : string; k : int }
+   the durable tier and for warm transfer without a reverse lookup.
 
-(* The instance-text memo's value: the parse of one exact request text
-   and its content keys.  Both are pure functions of the text (and of
-   [lang]/[k], which the memo key carries), and graphs are immutable, so
-   a memo hit hands back exactly what a re-parse and re-hash would. *)
+   [bytes] are the canonical instance bytes the entry denotes (empty
+   under a chained key): a verdict hit is served only when they equal
+   the request's, which makes a hit exact whatever digest it was filed
+   under.  [checked] records that the certificate passed
+   [check_certificate]; that check is a pure function of the immutable
+   [outcome]/[inst] pair, so it runs on the entry's first hit only. *)
+type entry = {
+  outcome : Outcome.t;
+  inst : Instance.t;
+  lang : string;
+  k : int;
+  bytes : string;
+  checked : bool Atomic.t;
+}
+
+(* Every path files its entries unchecked. *)
+let entry ~bytes ~lang ~k outcome inst =
+  { outcome; inst; lang; k; bytes; checked = Atomic.make false }
+
+(* The canonical bytes of a record that arrived without them (durable
+   tier, warm transfer), from the instance the record rebuilt. *)
+let entry_of_record { Tier.lang; k; inst; outcome } =
+  let bytes =
+    Content_hash.instance_bytes ~lang ~k (Instance.graph inst)
+      (Instance.relation inst)
+  in
+  entry ~bytes ~lang ~k outcome inst
+
+(* The instance-text memo's value: the parse of one exact request text,
+   its content keys and its canonical bytes.  All are pure functions of
+   the text (and of [lang]/[k], which the memo key carries), and graphs
+   are immutable, so a memo hit hands back exactly what a re-parse and
+   re-hash would. *)
 type parsed = {
   g : Data_graph.t;
   s : Tuple_relation.t;
   gkey : string;
   ikey : string;
+  bytes : string;
 }
 
 type t = {
@@ -107,7 +136,7 @@ let bump a c =
    count, sorted edge list, value partition in index order), so a
    relation expressed over one is valid verbatim over the other — the
    intern substitution below never remaps node ids. *)
-let intern_graph_keyed t gkey g =
+let intern_graph t gkey g =
   match Lru.find t.graphs gkey with
   | Some g0 ->
       bump t.graph_hits c_graph_hit;
@@ -116,8 +145,6 @@ let intern_graph_keyed t gkey g =
       bump t.graph_misses c_graph_miss;
       Lru.put t.graphs gkey g;
       g
-
-let intern_graph t g = intern_graph_keyed t (Content_hash.graph_key g) g
 
 let cacheable (o : Outcome.t) =
   match o.verdict with
@@ -145,9 +172,9 @@ let find_durable t key =
       | None ->
           bump t.store_misses c_store_miss;
           None
-      | Some { Tier.lang; k; inst; outcome } ->
+      | Some r ->
           bump t.store_hits c_store_hit;
-          let e = { outcome; inst; lang; k } in
+          let e = entry_of_record r in
           Lru.put t.verdicts key e;
           Some e)
 
@@ -165,14 +192,33 @@ let drop t key =
       Tier.remove d key
 
 let hash ~lang ~k g s =
-  Obs.Span.with_ "service.cache.hash" @@ fun () -> Content_hash.keys ~lang ~k g s
+  Obs.Span.with_ "service.cache.hash" @@ fun () ->
+  Content_hash.keys_and_bytes ~lang ~k g s
+
+(* Whether [e] may be served: with [revalidate], its certificate must
+   check, which is tried until it first succeeds and then remembered.
+   Two racing first hits may both run the check; each reaches the same
+   answer. *)
+let certified t e =
+  (not t.config.revalidate) || Atomic.get e.checked
+  ||
+  match Outcome.certificate e.outcome with
+  | None -> true
+  | Some cert -> (
+      Obs.Span.with_ "service.cache.revalidate" @@ fun () ->
+      match Outcome.check_certificate e.inst cert with
+      | Ok () ->
+          bump t.revalidation_ok c_reval_ok;
+          Atomic.set e.checked true;
+          true
+      | Error _ -> false)
 
 (* The verdict lookup proper, on an already parsed and hashed instance:
    memory tier, then durable tier, then decide. *)
-let lookup t ?fuel ?deadline_s ~k ~lang { g; s; gkey; ikey } =
+let lookup t ?fuel ?deadline_s ~k ~lang { g; s; gkey; ikey; bytes } =
   let serve_miss () =
     bump t.verdict_misses c_miss;
-    let g = intern_graph_keyed t gkey g in
+    let g = intern_graph t gkey g in
     match Instance.create g s with
     | Error _ as e -> e
     | Ok inst -> (
@@ -180,35 +226,22 @@ let lookup t ?fuel ?deadline_s ~k ~lang { g; s; gkey; ikey } =
         match Registry.decide ~budget ~params:{ Registry.k } ~lang inst with
         | Error _ as e -> e
         | Ok outcome ->
-            if cacheable outcome then store t ikey { outcome; inst; lang; k };
+            if cacheable outcome then
+              store t ikey (entry ~bytes ~lang ~k outcome inst);
             Ok (outcome, `Miss))
   in
   match find_entry t ikey with
   | None -> serve_miss ()
-  | Some { outcome; inst; _ } -> (
-      let revalidated =
-        if not t.config.revalidate then Ok `Unchecked
-        else
-          match Outcome.certificate outcome with
-          | None -> Ok `Unchecked
-          | Some cert -> (
-              Obs.Span.with_ "service.cache.revalidate" @@ fun () ->
-              match Outcome.check_certificate inst cert with
-              | Ok () -> Ok `Checked
-              | Error _ as e -> e)
-      in
-      match revalidated with
-      | Ok checked ->
-          if checked = `Checked then bump t.revalidation_ok c_reval_ok;
-          bump t.verdict_hits c_hit;
-          Ok (outcome, `Hit)
-      | Error _ ->
-          (* A poisoned or stale entry: drop it (from both tiers) and
-             recompute instead of serving a certificate that no longer
-             checks. *)
-          bump t.revalidation_failures c_reval_fail;
-          drop t ikey;
-          serve_miss ())
+  | Some e when String.equal e.bytes bytes && certified t e ->
+      bump t.verdict_hits c_hit;
+      Ok (e.outcome, `Hit)
+  | Some _ ->
+      (* Another problem's verdict filed under this digest, or a
+         certificate that does not check: drop it (from both tiers) and
+         recompute instead of serving it. *)
+      bump t.revalidation_failures c_reval_fail;
+      drop t ikey;
+      serve_miss ()
 
 (* [cache.hit] / [cache.miss] time a request from its first cache-side
    step to its outcome: from the graph for {!decide}, from the text for
@@ -221,8 +254,8 @@ let observe t0 origin =
 let decide t ?fuel ?deadline_s ?(k = 1) ~lang g s =
   let observed = Obs.enabled () in
   let t0 = if observed then Unix.gettimeofday () else 0. in
-  let gkey, ikey = hash ~lang ~k g s in
-  let r = lookup t ?fuel ?deadline_s ~k ~lang { g; s; gkey; ikey } in
+  let gkey, ikey, bytes = hash ~lang ~k g s in
+  let r = lookup t ?fuel ?deadline_s ~k ~lang { g; s; gkey; ikey; bytes } in
   (match r with Ok (_, origin) when observed -> observe t0 origin | _ -> ());
   r
 
@@ -238,8 +271,8 @@ let decide_text t ?fuel ?deadline_s ?(k = 1) ~lang text =
         match Graph_io.instance_of_string text with
         | Error msg -> Error ("instance: " ^ msg)
         | Ok (g, s) ->
-            let gkey, ikey = hash ~lang ~k g s in
-            Ok { g; s; gkey; ikey })
+            let gkey, ikey, bytes = hash ~lang ~k g s in
+            Ok { g; s; gkey; ikey; bytes })
   in
   match parsed with
   | Error _ as e -> e
@@ -290,15 +323,16 @@ let apply_edit t ?fuel ?deadline_s ?(k = 1) ~lang ~key edit =
              without re-canonicalizing the graph. *)
           let key' = Content_hash.chain_key ~parent:key edit in
           if cacheable outcome then
-            store t key' { outcome; inst = inst'; lang; k };
+            store t key' (entry ~bytes:"" ~lang ~k outcome inst');
           Ok { outcome; inst = inst'; key = key'; repaired })
 
 let insert t ?(k = 1) ~lang g s outcome =
-  let g = intern_graph t g in
+  let gkey, ikey, bytes = Content_hash.keys_and_bytes ~lang ~k g s in
+  let g = intern_graph t gkey g in
   match Instance.create g s with
   | Error _ as e -> e
   | Ok inst ->
-      store t (Content_hash.instance_key ~lang ~k g s) { outcome; inst; lang; k };
+      store t ikey (entry ~bytes ~lang ~k outcome inst);
       Ok ()
 
 (* Warm transfer: the most recently used memory-tier entries, encoded in
@@ -316,8 +350,8 @@ let export_hot t ~limit =
 let import t ~key raw =
   match Tier.decode ~check:true raw with
   | Error _ as e -> e
-  | Ok { Tier.lang; k; inst; outcome } ->
-      store t key { outcome; inst; lang; k };
+  | Ok r ->
+      store t key (entry_of_record r);
       Ok ()
 
 let stats t =

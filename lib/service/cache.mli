@@ -12,17 +12,31 @@
       [Data_graph]), Hom CSPs and root domains (keyed by graph [uid])
       — are therefore built once and shared across requests, not once
       per connection.
-    - a {b verdict store} (instance key → decided outcome + the instance
-      it was decided on).  A hit skips the decision procedure entirely;
-      if the cached verdict carries a certificate it is {e revalidated}
-      first ([Outcome.check_certificate] re-evaluates the query against
-      the instance — a code path disjoint from the search that produced
-      it), and an entry that fails revalidation is dropped and recomputed
-      rather than served.
-    - an {b instance-text memo} (exact request text → parsed instance
-      and its two digests) in front of both, used by {!decide_text}: a
-      repeated request skips the parse and the hashing, never the
-      verdict lookup or its revalidation.
+    - a {b verdict store} (instance key → decided outcome, the instance
+      it was decided on, and that instance's canonical bytes).  A hit
+      skips the decision procedure entirely, behind two guards.  The
+      {b byte guard}: the entry's canonical bytes
+      ({!Content_hash.instance_bytes}) must equal the request's.  Equal
+      canonical bytes pose the same definability problem (Fact 10), so
+      a hit is exact whatever digest the entry was filed under — a
+      digest collision, or a record imported under another instance's
+      key, is a miss, not a wrong answer.  The {b certificate check,
+      once per entry}: if the verdict carries a certificate it is
+      {e revalidated} on the entry's first hit
+      ([Outcome.check_certificate] re-evaluates the query against the
+      instance — a code path disjoint from the search that produced
+      it).  The check is a pure function of the entry's immutable
+      outcome and instance, so the entry records that it passed and
+      later hits are guarded by the bytes alone.  Every path files its
+      entries unchecked (decide miss, {!insert}, durable-tier
+      promotion, {!import}, {!apply_edit}), and a miss reply is served
+      without a check, as it always was.  An entry that fails either
+      guard is dropped and recomputed rather than served; both failures
+      count as [revalidation_failures].
+    - an {b instance-text memo} (exact request text → parsed instance,
+      its two digests and its canonical bytes) in front of both, used by
+      {!decide_text}: a repeated request skips the parse and the
+      hashing, never the verdict lookup or its guards.
 
     Only [Definable] and [Not_definable] outcomes are stored: they are
     budget-independent facts about the instance.  [Unknown] outcomes
@@ -33,10 +47,11 @@
     {b Tiering.}  With a durable tier, every cacheable verdict is
     written through to the store, and a memory miss probes the store
     before deciding: a durable hit is promoted into the LRU (rebuilding
-    its instance from the stored text), revalidated exactly like a
-    memory hit, and reported as a [`Hit] — callers cannot tell which
-    tier served it, only the [store_hits] counter can.  An entry that
-    fails revalidation is dropped from {e both} tiers and recomputed.
+    its instance from the stored text and its canonical bytes from the
+    instance), enters unchecked, is guarded exactly like a memory hit,
+    and is reported as a [`Hit] — callers cannot tell which tier served
+    it, only the [store_hits] counter can.  An entry that fails either
+    guard is dropped from {e both} tiers and recomputed.
     Without a durable tier the cache behaves exactly as before.
 
     Node {e names} are not part of the cache key (see {!Content_hash}),
@@ -55,7 +70,9 @@ type config = {
   verdict_capacity : int;  (** max cached outcomes (default 1024) *)
   graph_capacity : int;  (** max interned graphs (default 256) *)
   revalidate : bool;
-      (** re-check certificates on every hit (default [true]) *)
+      (** check an entry's certificate before serving it, on its first
+          hit; the result is kept on the entry (default [true]).  The
+          byte guard applies either way. *)
 }
 
 val default_config : config
@@ -106,9 +123,10 @@ val decide_text :
     ({!Content_hash.text_key}: [lang], [k] and the text).  Both are pure
     functions of those bytes and graphs are immutable, so a memo hit
     yields exactly what a re-parse would; nothing else is skipped — the
-    verdict store is still consulted and a verdict hit still
-    revalidated.  A text enters the memo only when its verdict lookup
-    {e hit}, so a never-repeated instance keeps nothing alive; the memo
+    verdict store is still consulted and a verdict hit still guarded
+    (the memo keeps the canonical bytes, so the byte guard needs no
+    re-canonicalization).  A text enters the memo only when its verdict
+    lookup {e hit}, so a never-repeated instance keeps nothing alive; the memo
     holds at most [verdict_capacity] texts.  Errors are never memoized:
     a malformed text ([Error "instance: ..."]) is re-parsed, and fails
     the same way, every time.  The [cache.hit]/[cache.miss] histograms
@@ -139,16 +157,13 @@ val apply_edit :
     edit through {!Engine.Delta.decide_delta} (certificate repair first,
     budgeted full decide on repair miss), and store the result under the
     {e chained} key [Content_hash.chain_key ~parent:key edit] — O(edit)
-    hashing, no graph re-serialization.  [Error] when [key] is not in
-    the verdict store (never decided, or evicted): the caller must
-    cold-decide first.  [lang] and [k] must match the original decide —
+    hashing, no graph re-serialization.  The stored entry carries no
+    canonical bytes, so it serves later edits but never a verdict
+    lookup (one that lands on it through a digest collision fails the
+    byte guard).  [Error] when [key] is not in the verdict store (never
+    decided, or evicted): the caller must cold-decide first.  [lang] and [k] must match the original decide —
     a mismatch is safe (the fallback recomputes in the given language)
     but wastes the fast path. *)
-
-val intern_graph : t -> Datagraph.Data_graph.t -> Datagraph.Data_graph.t
-(** The interned twin of the graph (inserting it if new): the canonical
-    carrier of the per-graph artifacts.  Exposed for tests and for the
-    server's batch path. *)
 
 val insert :
   t ->
@@ -159,8 +174,9 @@ val insert :
   Engine.Outcome.t ->
   (unit, string) result
 (** Seed the verdict store directly (tests and warm-up tooling); the
-    outcome is stored unconditionally, so revalidation on the next hit
-    is what stands between a bogus seed and the caller. *)
+    outcome is stored unconditionally and unchecked, so the certificate
+    check on its next hit is what stands between a bogus seed and the
+    caller. *)
 
 val export_hot : t -> limit:int -> (string * string) list
 (** The (at most [limit]) most recently used memory-tier entries,
@@ -171,7 +187,11 @@ val import : t -> key:string -> string -> (unit, string) result
 (** Admit one encoded record (from {!export_hot}, possibly via another
     process): decode, re-check its certificate, and write it through
     both tiers.  [Error] on a record that does not validate — a corrupt
-    or hostile transfer is refused, never stored. *)
+    or hostile transfer is refused, never stored.  The check is against
+    the record's own instance, not against [key]; a record filed under
+    another instance's digest is caught by the byte guard on its first
+    hit, and it enters unchecked, so its certificate is checked again
+    there. *)
 
 val stats : t -> (string * int) list
 (** Monotone counters and current sizes, sorted by name:

@@ -94,11 +94,16 @@ let edit_bytes (e : Engine.Delta.graph_edit) =
 let chain_key ~parent e =
   digest (Printf.sprintf "defsvc-delta/1\nparent %s\n%s" parent (edit_bytes e))
 
-let keys ~lang ~k g s =
+let keys_and_bytes ~lang ~k g s =
   let gbytes = graph_bytes g in
-  ( graph_key_of_bytes gbytes,
-    digest
-      (instance_bytes_of_parts ~lang ~k ~gbytes ~rbytes:(relation_bytes s)) )
+  let ibytes =
+    instance_bytes_of_parts ~lang ~k ~gbytes ~rbytes:(relation_bytes s)
+  in
+  (graph_key_of_bytes gbytes, digest ibytes, ibytes)
+
+let keys ~lang ~k g s =
+  let gkey, ikey, _ = keys_and_bytes ~lang ~k g s in
+  (gkey, ikey)
 
 let text_key ~lang ~k text =
   String.concat ""

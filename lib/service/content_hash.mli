@@ -21,9 +21,12 @@
 
     Keys are MD5 digests (stdlib [Digest]) of the canonical bytes,
     rendered as 32-char lowercase hex.  MD5's known collision attacks
-    are irrelevant here — the cache is a performance layer whose hits
-    are re-validated against the certificate, not a security boundary —
-    and 128 bits make accidental collisions out of reach. *)
+    are irrelevant here: a verdict entry keeps the canonical bytes it
+    was filed under, and {!Cache} serves a hit only when those bytes
+    equal the request's, so two instances sharing a digest get a miss,
+    never each other's verdict.  The digest only picks the cache line;
+    the bytes decide whether it holds this problem.  128 bits make
+    accidental collisions out of reach anyway. *)
 
 val graph_bytes : Datagraph.Data_graph.t -> string
 (** The canonical serialization of the graph alone (exposed for tests
@@ -57,8 +60,17 @@ val keys :
   Datagraph.Data_graph.t ->
   Datagraph.Tuple_relation.t ->
   string * string
-(** [(graph_key, instance_key)], serializing the graph only once — the
-    cache's lookup path. *)
+(** [(graph_key, instance_key)], serializing the graph only once. *)
+
+val keys_and_bytes :
+  lang:string ->
+  k:int ->
+  Datagraph.Data_graph.t ->
+  Datagraph.Tuple_relation.t ->
+  string * string * string
+(** [(graph_key, instance_key, instance_bytes)] from one serialization
+    of the graph — the cache's lookup path, which compares the
+    {!instance_bytes} with those of the entry it finds. *)
 
 val text_key : lang:string -> k:int -> string -> string
 (** The key under which the instance-text memos ({!Cache.decide_text}
@@ -80,9 +92,12 @@ val text_key : lang:string -> k:int -> string -> string
     Chained keys are {e not} content keys: the same edited content
     reached via different edit paths (or via a cold [decide]) gets a
     different key, costing a potential duplicate compute but never a
-    wrong answer (entries still carry their instance, and hits still
-    revalidate).  Chained keys also skip the data-value
-    canonicalization of {!graph_bytes} — same tradeoff. *)
+    wrong answer.  An entry filed under a chained key carries no
+    canonical bytes (computing them would cost O(graph) per edit), so
+    a verdict lookup can reach it only through a digest collision, and
+    then the byte guard turns it into a miss.  Chained keys also skip
+    the data-value canonicalization of {!graph_bytes} — same
+    tradeoff. *)
 
 val edit_bytes : Engine.Delta.graph_edit -> string
 (** Canonical serialization of one edit ([Set_relation] tuples are

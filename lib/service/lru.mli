@@ -26,7 +26,7 @@ val put : 'a t -> string -> 'a -> unit
 
 val remove : 'a t -> string -> unit
 (** Drop an entry (no-op when absent) — used when a cached verdict fails
-    revalidation. *)
+    the byte guard or its certificate check. *)
 
 val hot : 'a t -> int -> (string * 'a) list
 (** The (at most) [n] most recently used bindings, most-recent first,

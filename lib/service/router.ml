@@ -635,6 +635,10 @@ let handle_shutdown t conns oc line =
   respond oc (ok "shutdown" [ ("drained", "true") ]);
   initiate_stop t
 
+let respond_shard_direct oc op =
+  respond oc
+    (error_fields op "shard-direct op (connect to a shard, not the router)")
+
 let dispatch_request t conns oc line ~env req =
   match req with
   | Wire.Ping -> respond oc (ok "ping" [ ("role", Wire.json_string "router") ])
@@ -651,10 +655,8 @@ let dispatch_request t conns oc line ~env req =
   | Wire.Delta { digest; _ } -> handle_delta t conns oc line ~env ~digest
   | Wire.Compact -> handle_compact t conns oc line
   | Wire.Metrics -> handle_metrics t conns oc line
-  | Wire.Export _ | Wire.Import _ ->
-      respond oc
-        (error_fields "export"
-           "shard-direct op (connect to a shard, not the router)")
+  | Wire.Export _ -> respond_shard_direct oc "export"
+  | Wire.Import _ -> respond_shard_direct oc "import"
 
 let handle_request t conns oc line =
   incr t.n_requests;

@@ -36,8 +36,9 @@
 
     {b Durable tier.}  With [store_dir] set, the cache writes every
     cacheable verdict through to a {!Store.Log} in that directory and
-    serves warm hits from it across restarts (certificate-revalidated,
-    byte-identical verdict blocks).  The [compact], [export] and
+    serves warm hits from it across restarts (byte-guarded, certificate
+    checked on each promoted entry's first hit, byte-identical verdict
+    blocks).  The [compact], [export] and
     [import] ops expose compaction and warm transfer to routers and
     operators; like the other control ops they bypass admission.
 

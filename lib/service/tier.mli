@@ -60,7 +60,8 @@ val open_ :
 
 val find : t -> string -> entry option
 (** Decoded without the certificate re-check — the memory tier above
-    revalidates on hit anyway, and one check per hit is enough. *)
+    files the promoted entry unchecked and checks it on its first hit,
+    and one check per entry is enough. *)
 
 val find_raw : t -> string -> string option
 (** The encoded record, for [export]. *)

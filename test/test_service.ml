@@ -754,6 +754,89 @@ let test_cache_eviction_backstopped_by_store () =
     | None -> false);
   Cache.close cache
 
+(* ---------- byte guard and check-once ---------- *)
+
+(* {(v1, v2)}: not rem-definable over Fig. 1. *)
+let s_v1v2 =
+  let v = DG.node_of_name fig1 in
+  TR.of_list ~universe:(DG.size fig1) ~arity:2 [ [ v "v1"; v "v2" ] ]
+
+let stat name cache =
+  Option.value ~default:0 (List.assoc_opt name (Cache.stats cache))
+
+(* The record [export_hot] gives for [s] after one cold decide, and the
+   cold outcome itself. *)
+let exported_record s =
+  let cache = Cache.create () in
+  let o, _ = cache_decide cache ~lang:"rem" fig1 s in
+  match Cache.export_hot cache ~limit:1 with
+  | [ (_, raw) ] -> (o, raw)
+  | l -> Alcotest.failf "expected one exported record, got %d" (List.length l)
+
+(* [from]'s record imported under [under]'s digest.  The record checks
+   against its own instance, so [import] admits it; only the byte guard
+   stops it being served as [under]'s verdict. *)
+let check_misfiled_import ~from ~under =
+  let o_from, raw = exported_record from in
+  let cold, _ = cache_decide (Cache.create ()) ~lang:"rem" fig1 under in
+  let render o = Wire.verdict_to_string fig1 ~lang:"rem" o in
+  Alcotest.(check bool) "the two verdicts differ" true
+    (render o_from <> render cold);
+  let tier = Tier.open_ (fresh_store_dir ()) in
+  let cache = Cache.create ~durable:tier () in
+  let digest = key fig1 under in
+  (match Cache.import cache ~key:digest raw with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "import refused: %s" msg);
+  let o, origin = cache_decide cache ~lang:"rem" fig1 under in
+  Alcotest.(check bool) "the misfiled verdict is not served" true
+    (origin = `Miss);
+  Alcotest.(check string) "the reply is the cold reference" (render cold)
+    (render o);
+  Alcotest.(check int) "counted as a failed revalidation" 1
+    (stat "revalidation_failures" cache);
+  Alcotest.(check int) "dropped from the durable tier" 1
+    (stat "store_drops" cache);
+  (* Both tiers now hold the recompute under the digest, not the
+     misfiled record. *)
+  let relation inst = TR.to_list (Engine.Instance.relation inst) in
+  (match Cache.find_instance cache digest with
+  | Some inst ->
+      Alcotest.(check bool) "memory tier holds the requested instance" true
+        (relation inst = TR.to_list under)
+  | None -> Alcotest.fail "memory tier lost the recompute");
+  (match Tier.find tier digest with
+  | Some e ->
+      Alcotest.(check string) "durable tier holds the recompute" (render cold)
+        (render e.Tier.outcome)
+  | None -> Alcotest.fail "durable tier lost the recompute");
+  Cache.close cache;
+  o_from
+
+let test_guard_misfiled_definable () =
+  let o = check_misfiled_import ~from:s2 ~under:s3 in
+  Alcotest.(check bool) "a Definable record" true
+    (match o.verdict with Outcome.Definable _ -> true | _ -> false)
+
+let test_guard_misfiled_not_definable () =
+  let o = check_misfiled_import ~from:s_v1v2 ~under:s2 in
+  Alcotest.(check bool) "a Not_definable record" true
+    (match o.verdict with Outcome.Not_definable _ -> true | _ -> false)
+
+let test_cache_certificate_checked_once () =
+  let cache = Cache.create () in
+  let o, origin = cache_decide cache ~lang:"rem" fig1 s2 in
+  Alcotest.(check bool) "cold miss" true (origin = `Miss);
+  Alcotest.(check bool) "Definable" true
+    (match o.verdict with Outcome.Definable _ -> true | _ -> false);
+  for _ = 1 to 5 do
+    let _, origin = cache_decide cache ~lang:"rem" fig1 s2 in
+    Alcotest.(check bool) "hit" true (origin = `Hit)
+  done;
+  Alcotest.(check int) "five hits" 5 (stat "verdict_hits" cache);
+  Alcotest.(check int) "one certificate check" 1 (stat "revalidation_ok" cache);
+  Alcotest.(check int) "no failures" 0 (stat "revalidation_failures" cache)
+
 (* ---------- consistent-hash ring ---------- *)
 
 let test_ring_deterministic () =
@@ -1058,6 +1141,21 @@ let test_e2e_export_import_compact () =
           in
           Alcotest.(check (option int)) "poison rejected" (Some 1)
             (Option.bind (Json.member "rejected" resp) Json.to_int)))
+
+let test_e2e_router_refuses_shard_direct_ops () =
+  with_sharded_cluster (fun ~router:_ ~s0:_ ~s1:_ addr ->
+      Client.with_connection addr (fun conn ->
+          List.iter
+            (fun (op, req) ->
+              let resp = request_ok conn req in
+              Alcotest.(check (option string)) (op ^ " refused") (Some "error")
+                (member_str "status" resp);
+              Alcotest.(check (option string)) (op ^ " answered by name")
+                (Some op) (member_str "op" resp))
+            [
+              ("export", Wire.Export { limit = None });
+              ("import", Wire.Import { entries = [] });
+            ]))
 
 let test_e2e_rebalance () =
   with_sharded_cluster (fun ~router ~s0:_ ~s1:_ addr ->
@@ -1739,6 +1837,12 @@ let () =
           ("revalidation off serves the seed", `Quick,
            test_cache_revalidation_off_serves_seed);
           ("eviction", `Quick, test_cache_eviction);
+          ("misfiled Definable import is a miss", `Quick,
+           test_guard_misfiled_definable);
+          ("misfiled Not_definable import is a miss", `Quick,
+           test_guard_misfiled_not_definable);
+          ("certificate checked once", `Quick,
+           test_cache_certificate_checked_once);
         ] );
       ( "admission",
         [
@@ -1784,6 +1888,8 @@ let () =
           ("shard unavailable is typed and fast", `Quick,
            test_e2e_router_shard_unavailable);
           ("export/import/compact", `Quick, test_e2e_export_import_compact);
+          ("shard-direct ops refused by name", `Quick,
+           test_e2e_router_refuses_shard_direct_ops);
           ("rebalance", `Quick, test_e2e_rebalance);
         ] );
       ( "observability",
